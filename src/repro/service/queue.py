@@ -56,9 +56,12 @@ class Job:
     #: earliest monotonic time the scheduler may start the next attempt
     #: (retry backoff; breaker deferral)
     not_before: float = 0.0
-    #: a client asked for cancellation; the scheduler honors it at its
-    #: next poll (queued jobs are removed immediately instead)
+    #: a client asked for cancellation; a running attempt is killed as
+    #: soon as ``wake`` fires (queued jobs are removed immediately instead)
     cancel_requested: bool = False
+    #: what a running attempt's scheduler task sleeps on: set by a
+    #: cancel request and by the attempt's result pipe (message or EOF)
+    wake: asyncio.Event = field(default_factory=asyncio.Event)
 
     @property
     def tenant(self) -> str:

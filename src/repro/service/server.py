@@ -57,9 +57,6 @@ from .worker import (
 
 log = logging.getLogger("repro.service")
 
-#: scheduler-side pipe poll cadence (same order as the runtime's)
-POLL_INTERVAL = 0.02
-
 
 @dataclass
 class ServiceConfig:
@@ -461,19 +458,22 @@ class VerificationService:
         deadline = started + timeout * scale if timeout is not None else None
         proc.start()
         child_conn.close()
+        # level-triggered: fires while a message, or EOF from a dead
+        # child, is waiting in the pipe; the watchdog deadline bounds the
+        # wait and a cancel request sets the same event
+        loop = asyncio.get_running_loop()
+        loop.add_reader(parent_conn.fileno(), job.wake.set)
         try:
-            while True:
-                if job.cancel_requested:
-                    return "cancelled", {}
-                if parent_conn.poll():
+            while not job.cancel_requested:
+                while parent_conn.poll():
                     try:
                         kind, message = parent_conn.recv()
                     except (EOFError, OSError):
-                        proc.join(timeout=1.0)
+                        exitcode = await _exit_code(proc)
                         return "crash", self._synthetic_payload(
                             job,
                             Verdict.ERROR,
-                            f"worker died (exit code {proc.exitcode}, "
+                            f"worker died (exit code {exitcode}, "
                             f"attempt {attempt})",
                             elapsed=self._now() - started,
                         )
@@ -493,16 +493,9 @@ class VerificationService:
                         f"worker crashed: {message} (attempt {attempt})",
                         elapsed=self._now() - started,
                     )
-                if not proc.is_alive() and not parent_conn.poll():
-                    return "crash", self._synthetic_payload(
-                        job,
-                        Verdict.ERROR,
-                        f"worker died (exit code {proc.exitcode}, "
-                        f"attempt {attempt})",
-                        elapsed=self._now() - started,
-                    )
+                job.wake.clear()
                 now = self._now()
-                if deadline is not None and now > deadline:
+                if deadline is not None and now >= deadline:
                     return "timeout", self._synthetic_payload(
                         job,
                         Verdict.TIMEOUT,
@@ -510,8 +503,14 @@ class VerificationService:
                         f"(attempt {attempt})",
                         elapsed=now - started,
                     )
-                await asyncio.sleep(POLL_INTERVAL)
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        job.wake.wait(),
+                        None if deadline is None else deadline - now,
+                    )
+            return "cancelled", {}
         finally:
+            loop.remove_reader(parent_conn.fileno())
             if proc.is_alive():
                 proc.kill()
             proc.join()
@@ -752,7 +751,8 @@ class VerificationService:
         job.cancel_requested = True
         if job.state is JobState.QUEUED and await self.queue.remove(job):
             self._finish_cancel(job)
-        # a RUNNING job is killed by its scheduler task at the next poll
+        # a RUNNING job's scheduler task wakes and kills the attempt
+        job.wake.set()
         writer.write(
             protocol.encode({"ok": True, "id": job.id, "cancelling": True})
         )
@@ -796,6 +796,23 @@ class VerificationService:
         writer.write(protocol.encode({"ok": True, "draining": True}))
         await writer.drain()
         asyncio.ensure_future(self.drain("drain op"))
+
+
+async def _exit_code(proc) -> int | None:
+    """The exit code of a worker whose pipe hit EOF.  The exit itself
+    may lag the EOF; wait for it on the process sentinel instead of a
+    blocking ``join`` that would stall every other connection."""
+    loop = asyncio.get_running_loop()
+    exited = asyncio.Event()
+    loop.add_reader(proc.sentinel, exited.set)
+    try:
+        await asyncio.wait_for(exited.wait(), 1.0)
+    except asyncio.TimeoutError:
+        return None
+    finally:
+        loop.remove_reader(proc.sentinel)
+    proc.join()  # the child is gone: reaping it no longer blocks
+    return proc.exitcode
 
 
 async def serve(config: ServiceConfig) -> None:

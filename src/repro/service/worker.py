@@ -25,6 +25,7 @@ import os
 import threading
 import time
 
+from ..benchmarks import by_name
 from ..core.commutativity import ConditionalCommutativity
 from ..core.preference import (
     LockstepOrder,
@@ -46,11 +47,11 @@ DEFAULT_HB_INTERVAL = 0.25
 
 
 def build_program(spec: dict) -> ConcurrentProgram:
-    """Materialize the job's program: inline source or registry name."""
+    """Materialize the job's program: inline source or registry name
+    (the registry is imported with this module, so forked attempts
+    inherit it from the server and build only their own program)."""
     if spec.get("source") is not None:
         return parse(spec["source"], name=spec.get("name", "<submitted>"))
-    from ..benchmarks import by_name
-
     return by_name(spec["bench"]).build()
 
 

@@ -187,7 +187,7 @@ class ProofStore:
                 self.max_records = cap
         else:
             self._write_manifest()
-        self._load_segments()
+        self._load_segments(self._segments())
 
     def _write_manifest(self) -> None:
         _atomic_write(
@@ -206,8 +206,8 @@ class ProofStore:
             and p.name.endswith(SEGMENT_SUFFIX)
         )
 
-    def _load_segments(self) -> None:
-        for segment in self._segments():
+    def _load_segments(self, segments: list[Path]) -> None:
+        for segment in segments:
             try:
                 text = segment.read_text(errors="replace")
             except OSError as exc:
@@ -432,6 +432,11 @@ class ProofStore:
             self._release_compaction_lock(lock_fd)
 
     def _compact_locked(self) -> int:
+        # re-read the segments under the lock before deleting them: a
+        # load that raced another process's compaction can have missed
+        # records that now live only in that compaction's segment
+        old_segments = self._segments()
+        self._load_segments(old_segments)
         merged = dict(self._entries)
         merged.update(self._pending)
         evicted = 0
@@ -461,7 +466,6 @@ class ProofStore:
             f"{SEGMENT_SUFFIX}"
         )
         self._flush_seq += 1
-        old_segments = self._segments()
         try:
             _atomic_write(self.path / name, "".join(lines))
         except OSError as exc:

@@ -5,8 +5,14 @@ verdict.  Heavier instances (bluetooth n >= 3) run under the ``slow``
 marker; enable with ``pytest -m slow``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Verdict, VerifierConfig, verify
 from repro.benchmarks import all_benchmarks, bluetooth, by_name, suite
 from repro.benchmarks import svcomp, weaver
@@ -67,11 +73,54 @@ class TestRegistry:
         with pytest.raises(KeyError):
             by_name("no-such-benchmark")
 
+    @pytest.mark.parametrize("bench", all_benchmarks(), ids=lambda b: b.name)
+    def test_declared_name_matches_built_program(self, bench):
+        assert bench.build().name == bench.name
+
+    def test_listing_and_lookup_build_nothing(self):
+        # a fresh interpreter with a counting ``parse`` in place before
+        # the generators import it: loading, listing and looking up the
+        # registry must not call a single factory
+        assert _run_isolated(
+            "import repro.lang as lang\n"
+            "calls = []\n"
+            "real = lang.parse\n"
+            "def counting(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return real(*args, **kwargs)\n"
+            "lang.parse = counting\n"
+            "from repro.benchmarks import all_benchmarks, by_name, suite\n"
+            "all_benchmarks(); suite('weaver'); bench = by_name('peterson')\n"
+            "before = len(calls)\n"
+            "bench.build()\n"
+            "print(before, len(calls))\n"
+        ) == "0 1"
+
+    def test_service_worker_import_loads_registry(self):
+        # the server holds the registry, so forked attempts inherit it
+        assert _run_isolated(
+            "import sys\n"
+            "before = 'repro.benchmarks' in sys.modules\n"
+            "import repro.service.worker\n"
+            "print(before, 'repro.benchmarks' in sys.modules)\n"
+        ) == "False True"
+
     def test_factories_are_deterministic(self):
         bench = by_name("peterson")
         p1, p2 = bench.build(), bench.build()
         assert p1.size == p2.size
         assert len(p1.alphabet()) == len(p2.alphabet())
+
+
+def _run_isolated(script: str) -> str:
+    """Run *script* in a fresh interpreter on this source tree."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.strip()
 
 
 class TestGroundTruthConcrete:

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.service.queue import FairQueue, Job
 from repro.service.server import ServiceConfig, VerificationService
 from repro.service.worker import job_fingerprint
 from repro.verifier import VerifierConfig, verify
-from repro.verifier.faults import FaultPlan
+from repro.verifier.faults import HARD_EXIT_CODE, FaultPlan
 
 CORRECT_SRC = (
     "var x: int = 0; thread A { x := x + 1; } "
@@ -416,6 +419,119 @@ def test_cancel_queued_job(tmp_path):
     assert view["state"] == "cancelled"
     assert stats["cancelled"] == 1
     assert jid2
+
+
+#: a job whose worker sleeps at its first solver query, far longer
+#: than any test waits
+HANG_SPEC = {"source": CORRECT_SRC, "faults": "hang_at=0;hang_s=30"}
+
+
+def record_worker_pids(service: VerificationService) -> list[int]:
+    """Have *service* fork its attempts through a context that notes
+    each child's pid (the Process object forgets it once closed)."""
+    pids: list[int] = []
+    ctx = service._mp_ctx
+
+    class Recording(ctx.Process):
+        def start(self):
+            super().start()
+            pids.append(self.pid)
+
+    service._mp_ctx = SimpleNamespace(Process=Recording, Pipe=ctx.Pipe)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # a zombie still answers; only a reaped pid is gone
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_cancel_running_job_kills_and_reaps_worker(tmp_path):
+    async def scenario():
+        # no heartbeat and no watchdog within the test: only the cancel
+        # itself can wake the attempt before hang_s
+        service = await start_service(make_config(tmp_path, hb_interval=60.0))
+        pids = record_worker_pids(service)
+        client = await NdjsonClient.connect(service.config.socket_path)
+        jid = await submit_one(client, dict(HANG_SPEC, name="stuck"))
+        while not pids:
+            await asyncio.sleep(0.01)
+        started = time.perf_counter()
+        reply = await client.rpc({"op": "cancel", "id": jid})
+        view = await wait_done(client, jid)
+        elapsed = time.perf_counter() - started
+        dead = [reaped(pid) for pid in pids]
+        nxt = await wait_done(
+            client,
+            await submit_one(client, {"source": CORRECT_SRC, "name": "next"}),
+        )
+        stats = (await client.rpc({"op": "stats"}))["stats"]
+        await service.drain("test")
+        return reply, view, elapsed, dead, nxt, stats
+
+    reply, view, elapsed, dead, nxt, stats = asyncio.run(scenario())
+    assert reply["cancelling"]
+    assert view["state"] == "cancelled"
+    assert elapsed < 5.0  # woken by the cancel, not by hang_s
+    assert dead == [True]
+    assert nxt["result"]["verdict"] == "correct"
+    assert stats["cancelled"] == 1
+
+
+def test_watchdog_times_out_hung_worker(tmp_path):
+    async def scenario():
+        service = await start_service(make_config(tmp_path))
+        client = await NdjsonClient.connect(service.config.socket_path)
+        started = time.perf_counter()
+        view = await wait_done(
+            client,
+            await submit_one(
+                client,
+                dict(HANG_SPEC, name="hung", timeout=0.5, max_attempts=1),
+            ),
+        )
+        elapsed = time.perf_counter() - started
+        stats = (await client.rpc({"op": "stats"}))["stats"]
+        await service.drain("test")
+        return view, elapsed, stats
+
+    view, elapsed, stats = asyncio.run(scenario())
+    assert view["state"] == "done"
+    assert view["result"]["verdict"] == "timeout"
+    assert view["result"]["failure_reason"].startswith("watchdog:")
+    assert 0.5 <= elapsed < 5.0  # the deadline, well before hang_s
+    assert stats["worker_timeouts"] == 1
+
+
+def test_hard_exit_reported_as_worker_crash(tmp_path):
+    async def scenario():
+        service = await start_service(make_config(tmp_path))
+        client = await NdjsonClient.connect(service.config.socket_path)
+        view = await wait_done(
+            client,
+            await submit_one(
+                client,
+                {
+                    "source": CORRECT_SRC,
+                    "name": "killed",
+                    "faults": "exit_at=0",
+                    "max_attempts": 1,
+                },
+            ),
+        )
+        stats = (await client.rpc({"op": "stats"}))["stats"]
+        await service.drain("test")
+        return view, stats
+
+    view, stats = asyncio.run(scenario())
+    assert view["result"]["verdict"] == "error"
+    assert view["result"]["failure_reason"] == (
+        f"worker died (exit code {HARD_EXIT_CODE}, attempt 1)"
+    )
+    assert stats["worker_crashes"] == 1
 
 
 def test_wait_stream_emits_lifecycle_events(tmp_path):
